@@ -103,7 +103,8 @@ pub fn load_scenario_file(path: &Path) -> Result<Scenario, String> {
 ///
 /// A message when the scenario does not fit its report mode (e.g. a
 /// `timeline` without echo demand) or references nodes/links/tasks the
-/// topology does not have.
+/// topology does not have, and when a `pdr_sweep` run fails on its lossy
+/// control channel (a message exhausted its retries).
 ///
 /// # Panics
 ///
@@ -409,13 +410,18 @@ struct SweepSample {
 
 /// One full control-plane run — static phase plus the scenario's first
 /// `demand_step` as an adjustment — over a channel with the given PDR.
+///
+/// # Errors
+///
+/// A message naming the PDR and seed when either phase fails, e.g. when
+/// a lossy channel exhausts a message's retries.
 fn sweep_one(
     scenario: &Scenario,
     tree: &Tree,
     config: SlotframeConfig,
     pdr: f64,
     seed: u64,
-) -> SweepSample {
+) -> Result<SweepSample, String> {
     let reqs = scenario.requirements(tree);
     let mut net = if pdr >= 1.0 {
         HarpNetwork::new(tree.clone(), config, &reqs, SchedulingPolicy::RateMonotonic)
@@ -428,16 +434,18 @@ fn sweep_one(
             Box::new(Lossy::uniform(pdr, seed).expect("valid pdr")),
         )
     };
-    let static_report = net.run_static().expect("static phase converges");
+    let static_report = net
+        .run_static()
+        .map_err(|e| format!("pdr {pdr}, seed {seed}: static phase failed: {e}"))?;
     let step = scenario.workload.demand_steps[0];
     let link = step.link.resolve(tree).expect("validated before the sweep");
     let adjust_report = net
         .adjust_and_settle(net.now(), link, reqs.get(link) + step.delta)
-        .expect("adjustment resolves");
-    SweepSample {
+        .map_err(|e| format!("pdr {pdr}, seed {seed}: adjustment failed: {e}"))?;
+    Ok(SweepSample {
         static_report,
         adjust_report,
-    }
+    })
 }
 
 /// `pdr_sweep`: the management-loss experiment — per control-channel PDR,
@@ -478,7 +486,9 @@ fn run_pdr_sweep(
     let samples = par_map_with_threads(&jobs, threads, |_, &(p, t)| {
         let job_seed = seed + ((p as u64) << 8) + t as u64;
         sweep_one(scenario, &trees[t], config, pdrs[p], job_seed)
-    });
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
     // Ideal-channel columns must never retransmit or drop.
     for (sample, &(p, _)) in samples.iter().zip(&jobs) {
@@ -880,9 +890,26 @@ mod tests {
         )
         .unwrap();
         let tree = TopologyConfig::paper_50_node().generate(3);
-        let sample = sweep_one(&scenario, &tree, SlotframeConfig::paper_default(), 0.9, 42);
+        let sample =
+            sweep_one(&scenario, &tree, SlotframeConfig::paper_default(), 0.9, 42).unwrap();
         assert!(sample.static_report.mgmt_messages > 0);
         assert!(sample.adjust_report.elapsed_slots() > 0);
+    }
+
+    #[test]
+    fn exhausted_retries_are_an_error_not_a_panic() {
+        let scenario = parse_scenario(
+            "scenario dead_channel\nseed 7\n[topology]\ngenerator random nodes=20 layers=4 \
+             max_children=4 seed=3 count=1\n[scheduler]\ncontrol_pdr 0.0\n[workloads]\n\
+             demand uniform cells=1\ndemand_step link=deepest delta=1\n[report]\nmode pdr_sweep\n",
+        )
+        .unwrap();
+        let opts = RunOptions {
+            threads: Some(1),
+            ..RunOptions::default()
+        };
+        let err = run_scenario(&scenario, &opts).unwrap_err();
+        assert!(err.contains("pdr 0, seed 7"), "got: {err}");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use harp_obs::json::{parse, Json};
 
 /// Workspace-root files expected to carry a renderable trace.
 const TRACE_FILES: [&str; 8] = [
-    "BENCH_trace_sample.json",
+    TRACE_SAMPLE,
     "BENCH_simulator.json",
     "BENCH_mgmt_loss.json",
     "BENCH_fig9.json",
@@ -19,11 +19,41 @@ const TRACE_FILES: [&str; 8] = [
     "BENCH_table2.json",
 ];
 
+/// The standalone sample `cargo bench --bench simulator` writes next to
+/// `BENCH_simulator.json`; it is not committed.
+const TRACE_SAMPLE: &str = "BENCH_trace_sample.json";
+
 fn read_root(file: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../../")
         .join(file);
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {file}: {e}"))
+    match std::fs::read_to_string(&path) {
+        Ok(text) => text,
+        Err(_) if file == TRACE_SAMPLE => trace_sample_from_simulator_report(),
+        Err(e) => panic!("read {file}: {e}"),
+    }
+}
+
+/// The bare trace document the simulator bench writes to
+/// [`TRACE_SAMPLE`], rebuilt from the committed `BENCH_simulator.json`:
+/// both are the same `trace_json`, and the report embeds it verbatim as
+/// its last section.
+fn trace_sample_from_simulator_report() -> String {
+    let report = read_root("BENCH_simulator.json");
+    let (_, tail) = report
+        .split_once("\"trace_sample\": ")
+        .expect("simulator report has a trace_sample section");
+    let bare = tail
+        .trim_end()
+        .strip_suffix('}')
+        .expect("trace_sample closes the report")
+        .trim_end();
+    assert_eq!(
+        parse(bare).ok().as_ref(),
+        parse(&report).unwrap().get("trace_sample"),
+        "trace_sample is not the report's last section"
+    );
+    format!("{bare}\n")
 }
 
 #[test]

@@ -281,7 +281,7 @@ impl Response {
     }
 
     /// A JSON response from already-assembled bytes (the handlers build
-    /// bodies with [`harp_obs::json::JsonBuf`] into pooled buffers).
+    /// bodies with [`harp_obs::json::JsonBuf`]).
     #[must_use]
     pub fn json_bytes(status: u16, body: Vec<u8>) -> Self {
         Self {
@@ -303,17 +303,15 @@ impl Response {
         }
     }
 
-    /// The canonical error body for an [`HttpError`].
+    /// The canonical error body for an [`HttpError`]. It keeps the
+    /// connection open; the server closes it only when the parser lost
+    /// the framing.
     #[must_use]
     pub fn from_error(err: &HttpError) -> Self {
-        let mut r = Self::json(
+        Self::json(
             err.status,
             format!("{{\"error\": \"{}\"}}\n", escape_json(&err.message)),
-        );
-        // Framing may be lost after a protocol error; never reuse the
-        // connection.
-        r.close = true;
-        r
+        )
     }
 
     /// Serialises status line, headers and body onto `stream`.
@@ -551,7 +549,7 @@ mod tests {
         assert_eq!(r.status, 200);
         assert!(!r.close);
         let err = Response::from_error(&HttpError::new(431, "too big"));
-        assert!(err.close);
+        assert!(!err.close, "route-level errors keep the connection");
         assert!(String::from_utf8(err.body).unwrap().contains("too big"));
     }
 

@@ -3,13 +3,14 @@
 //!
 //! Connections flow acceptor → `mpsc` channel → workers; each worker
 //! owns one connection at a time and serves keep-alive requests off it
-//! until the peer closes, errors, or shutdown begins. Shutdown is
-//! cooperative: the `/shutdown` handler flips the [`AppState`] flag, the
-//! worker that served it wakes the acceptor with one loopback connect
-//! (accept on `std::net` has no timeout), the acceptor drops the channel
-//! sender, and workers finish their in-flight requests — responses
-//! during the drain carry `connection: close` — before joining. The
-//! final metrics snapshot survives in [`ServerSummary`].
+//! until the peer closes, the request framing breaks, or shutdown
+//! begins. Shutdown is cooperative: the `/shutdown` handler flips the
+//! [`AppState`] flag, the worker that served it wakes the acceptor with
+//! one loopback connect (accept on `std::net` has no timeout), the
+//! acceptor drops the channel sender, and workers finish their in-flight
+//! requests — responses during the drain carry `connection: close` —
+//! before joining. The final metrics snapshot survives in
+//! [`ServerSummary`].
 
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -209,24 +210,24 @@ fn serve_connection(mut stream: TcpStream, state: &Arc<AppState>, read_timeout: 
     loop {
         match next_request_timed(&mut stream, &mut buf) {
             Ok(Some((req, parse_us))) => {
+                // A route-level error (404, 409, 422, ...) leaves the
+                // framing intact, so the connection stays open.
                 let mut resp = handle_request_timed(state, &req, parse_us);
-                let draining = state.is_shutting_down();
-                if !req.keep_alive || draining {
+                if !req.keep_alive || state.is_shutting_down() {
                     resp.close = true;
                 }
-                let wrote = resp.write_to(&mut stream).is_ok();
-                // The body buffer came from the state's pool (handlers
-                // assemble into `take_buf` buffers); hand it back so the
-                // next response reuses the allocation.
-                state.recycle_buf(std::mem::take(&mut resp.body));
-                if !wrote || resp.close {
+                if resp.write_to(&mut stream).is_err() || resp.close {
                     return;
                 }
             }
             Ok(None) => return, // clean close or idle timeout
             Err(err) => {
                 // Best-effort error response; framing is gone, so close.
-                let _ = Response::from_error(&err).write_to(&mut stream);
+                let resp = Response {
+                    close: true,
+                    ..Response::from_error(&err)
+                };
+                let _ = resp.write_to(&mut stream);
                 return;
             }
         }

@@ -149,6 +149,77 @@ fn concurrent_tenants_do_not_serialize_errors() {
     join.join().expect("clean join");
 }
 
+/// Reads one `content-length`-framed response off `stream`: the head
+/// (lowercase) and the body.
+fn read_response(stream: &mut TcpStream) -> (String, String) {
+    let mut raw = Vec::new();
+    let mut byte = [0u8; 1];
+    while !raw.ends_with(b"\r\n\r\n") {
+        stream.read_exact(&mut byte).expect("read head");
+        raw.push(byte[0]);
+    }
+    let head = String::from_utf8(raw).unwrap().to_ascii_lowercase();
+    let len: usize = head
+        .lines()
+        .find_map(|l| l.strip_prefix("content-length: "))
+        .and_then(|v| v.trim().parse().ok())
+        .expect("content-length");
+    let mut body = vec![0u8; len];
+    stream.read_exact(&mut body).expect("read body");
+    (head, String::from_utf8(body).unwrap())
+}
+
+#[test]
+fn route_level_errors_keep_the_connection_alive() {
+    let (addr, join) = boot(1);
+    let mut client = HttpClient::new(addr).with_timeout(Duration::from_secs(30));
+    let created = client
+        .post("/networks", &create_body("ka"))
+        .expect("create");
+    assert_eq!(created.status, 201, "{}", created.body);
+    drop(client); // free the single worker for the raw socket
+
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let adjust = "{\"node\": 5, \"cells\": 100000}";
+    let requests = [
+        (
+            "GET /networks/ghost/schedule HTTP/1.1\r\n\r\n".to_owned(),
+            "404",
+        ),
+        (
+            format!(
+                "POST /networks/ka/adjust HTTP/1.1\r\ncontent-length: {}\r\n\r\n{adjust}",
+                adjust.len()
+            ),
+            "409",
+        ),
+        ("GET /health HTTP/1.1\r\n\r\n".to_owned(), "200"),
+    ];
+    for (raw, status) in requests {
+        stream.write_all(raw.as_bytes()).expect("write");
+        let (head, body) = read_response(&mut stream);
+        assert!(
+            head.starts_with(&format!("http/1.1 {status}")),
+            "{raw:?} -> {head}{body}"
+        );
+        assert!(head.contains("connection: keep-alive"), "{head}");
+    }
+    drop(stream);
+
+    let mut client = HttpClient::new(addr);
+    assert_eq!(
+        client
+            .post("/shutdown?token=loop-token", "")
+            .unwrap()
+            .status,
+        200
+    );
+    join.join().expect("clean join");
+}
+
 #[test]
 fn raw_socket_malformed_requests_get_4xx_not_hangs() {
     let (addr, join) = boot(1);

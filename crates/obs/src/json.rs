@@ -50,15 +50,15 @@ pub fn escape_json(s: &str) -> String {
     String::from_utf8(out).expect("escaping valid UTF-8 yields valid UTF-8")
 }
 
-/// An append-only JSON assembly buffer over a reusable allocation.
+/// An append-only JSON assembly buffer.
 ///
 /// Response builders that used to chain `format!` (one fresh `String` per
-/// fragment) instead write straight into a pooled `Vec<u8>`: take a
-/// buffer with [`JsonBuf::reuse`], append raw structure and escaped
-/// values, and hand the bytes back with [`JsonBuf::into_bytes`]. The type
-/// adds no structural validation — it is a typed cursor, and the emitters
-/// stay responsible for balanced braces, exactly like the workspace's
-/// other hand-rolled writers.
+/// fragment) instead write straight into one `Vec<u8>`: start with
+/// [`JsonBuf::new`], append raw structure and escaped values, and take
+/// the bytes with [`JsonBuf::into_bytes`]. The type adds no structural
+/// validation — it is a typed cursor, and the emitters stay responsible
+/// for balanced braces, exactly like the workspace's other hand-rolled
+/// writers.
 #[derive(Debug, Default)]
 pub struct JsonBuf {
     out: Vec<u8>,
@@ -69,13 +69,6 @@ impl JsonBuf {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Wraps a recycled allocation: contents are cleared, capacity kept.
-    #[must_use]
-    pub fn reuse(mut buf: Vec<u8>) -> Self {
-        buf.clear();
-        Self { out: buf }
     }
 
     /// Appends a raw fragment verbatim (structure: braces, keys you know
@@ -143,8 +136,7 @@ impl JsonBuf {
         self.out.is_empty()
     }
 
-    /// The assembled document, surrendering the allocation (return it to
-    /// the pool after the response is written).
+    /// The assembled document.
     #[must_use]
     pub fn into_bytes(self) -> Vec<u8> {
         self.out
@@ -584,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn json_buf_assembles_and_reuses_allocations() {
+    fn json_buf_assembles_values() {
         let mut b = JsonBuf::new();
         assert!(b.is_empty());
         b.raw("{\"name\": ")
@@ -598,8 +590,7 @@ mod tests {
             .raw(", \"f\": ")
             .fixed(1.5, 3)
             .raw("}");
-        let bytes = b.into_bytes();
-        let text = String::from_utf8(bytes.clone()).unwrap();
+        let text = String::from_utf8(b.into_bytes()).unwrap();
         assert_eq!(
             text,
             "{\"name\": \"a \\\"b\\\"\\n\", \"n\": 12345, \"neg\": -7, \"ok\": true, \"f\": 1.500}"
@@ -608,14 +599,9 @@ mod tests {
         assert_eq!(doc.get("n").and_then(Json::as_f64), Some(12345.0));
         assert_eq!(doc.get("neg").and_then(Json::as_f64), Some(-7.0));
 
-        // Reuse keeps the allocation, drops the contents.
-        let cap = bytes.capacity();
-        let mut reused = JsonBuf::reuse(bytes);
-        assert!(reused.is_empty());
-        reused.u64(0).u64(u64::MAX);
-        let out = reused.into_bytes();
-        assert_eq!(out, b"018446744073709551615");
-        assert!(out.capacity() >= cap.min(out.len()));
+        let mut b = JsonBuf::new();
+        b.u64(0).u64(u64::MAX);
+        assert_eq!(b.into_bytes(), b"018446744073709551615");
 
         assert_eq!(
             {
